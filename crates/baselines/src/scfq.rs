@@ -9,497 +9,18 @@
 //! `l_f^j/r_f^j − l_f^j/C` (Eqs. 56–57) — the gap the paper quantifies
 //! as 24.4 ms for a 64 Kb/s flow with 200-byte packets on a 100 Mb/s
 //! link.
+//!
+//! The scheduler itself is the exact-arithmetic, finish-tag
+//! instantiation of `sfq-core`'s tag-scheduler core (one implementation
+//! shared with `Sfq`, `SfqFast` and `ScfqFast`), re-exported here with
+//! the other comparators.
 
-use sfq_core::flowq::{FifoBackend, FlowFifos};
-use sfq_core::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use sfq_core::pool::PoolStats;
-use sfq_core::{FlowId, Packet, SchedError, Scheduler, TelemetrySink};
+pub use sfq_core::Scfq;
+
+#[cfg(test)]
+use sfq_core::{FlowId, Scheduler};
+#[cfg(test)]
 use simtime::{Rate, Ratio, SimTime};
-use std::cell::Cell;
-
-#[derive(Debug)]
-struct FlowExt {
-    weight: Rate,
-    last_finish: Ratio,
-}
-
-/// The Self-Clocked Fair Queuing scheduler.
-///
-/// Packets live in per-flow FIFOs with a head-of-flow heap keyed by
-/// `(finish, uid)` — the shared [`sfq_core::flowq::FlowFifos`]
-/// structure — so heap cost scales with backlogged flows, not queued
-/// packets. Generic over an observer (see [`sfq_core::obs`]); the
-/// default no-op compiles away.
-#[derive(Debug)]
-pub struct Scfq<O: SchedObserver = NoopObserver> {
-    /// Key `(finish, uid)`; per-packet metadata carries the start tag.
-    q: FlowFifos<(Ratio, u64), FlowExt, Ratio>,
-    /// v(t): finish tag of the packet in service (kept after service so
-    /// arrivals between departures see the last served packet's tag).
-    v: Ratio,
-    /// Virtual-time rebasing threshold in magnitude bits (`None` =
-    /// disabled). Same integer-baseline mechanism as
-    /// `sfq_core::Sfq::enable_rebasing`.
-    rebase_bits: Option<u32>,
-    /// Number of rebases applied so far.
-    rebases: u64,
-    /// Lazy flow GC armed (see [`Scfq::enable_flow_gc`]).
-    gc: bool,
-    obs: O,
-    /// Counter-page sink (see [`Scfq::attach_telemetry`]).
-    tele: Option<TelemetrySink>,
-}
-
-impl Scfq {
-    /// New SCFQ scheduler.
-    pub fn new() -> Self {
-        Self::with_observer(NoopObserver)
-    }
-}
-
-impl<O: SchedObserver> Scfq<O> {
-    /// New SCFQ scheduler reporting events to `obs`.
-    pub fn with_observer(obs: O) -> Self {
-        Self::with_parts(obs, FifoBackend::default())
-    }
-
-    /// New SCFQ scheduler with an explicit [`FifoBackend`] (owned =
-    /// differential oracle).
-    pub fn with_parts(obs: O, backend: FifoBackend) -> Self {
-        Scfq {
-            q: FlowFifos::new_with("SCFQ", backend),
-            v: Ratio::ZERO,
-            rebase_bits: None,
-            rebases: 0,
-            gc: false,
-            obs,
-            tele: None,
-        }
-    }
-
-    /// Attach a plain-write counter-page sink (see
-    /// `sfq_core::Sfq::attach_telemetry` and `docs/telemetry.md`).
-    pub fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        self.tele = Some(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.tele.as_ref()
-    }
-
-    /// Enable lazy flow GC (pooled backend only): a drained flow is
-    /// reclaimed once `last_finish ≤ ⌊v(t)⌋` — the floor makes the
-    /// predicate robust to the pico-grid snap applied at enqueue, so a
-    /// revived flow recomputes `S = max(v, 0)` identically.
-    pub fn enable_flow_gc(&mut self) {
-        self.gc = true;
-        self.q.enable_gc();
-    }
-
-    /// Cap the pooled backend's packet-slot footprint; exhaustion
-    /// surfaces as [`SchedError::BufferFull`] from `try_enqueue`.
-    pub fn set_pool_limit(&mut self, limit: Option<usize>) {
-        self.q.set_pool_limit(limit);
-    }
-
-    /// Pool accounting (`None` on the owned backend).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.q.pool_stats()
-    }
-
-    /// Currently registered flows.
-    pub fn live_flows(&self) -> usize {
-        self.q.live_flows()
-    }
-
-    fn gc_step(&mut self) {
-        if !self.gc {
-            return;
-        }
-        let horizon = Ratio::from_int(self.v.floor());
-        self.q
-            .gc_step(sfq_core::flowq::GC_BUDGET, |ext| ext.last_finish <= horizon);
-    }
-
-    /// Enable virtual-time rebasing: whenever `v(t)`'s magnitude
-    /// exceeds `threshold_bits` (checked at enqueue), and whenever the
-    /// queue drains (SCFQ's busy-period boundary), the integer part of
-    /// `v(t)` is subtracted from every live tag and per-flow
-    /// `last_finish`. An integer shift commutes exactly with the Eq. 4/5
-    /// recurrence, comparisons, and the pico-grid snap, so dequeue
-    /// order is bit-identical to the un-rebased scheduler.
-    pub fn enable_rebasing(&mut self, threshold_bits: u32) {
-        self.rebase_bits = Some(threshold_bits);
-    }
-
-    /// Number of rebases applied so far.
-    pub fn rebases(&self) -> u64 {
-        self.rebases
-    }
-
-    /// Rebase immediately (all-or-nothing; see
-    /// `sfq_core::Sfq::rebase`). Returns the baseline subtracted.
-    pub fn rebase(&mut self) -> Ratio {
-        let base = Ratio::from_int(self.v.floor());
-        if !base.is_positive() {
-            return Ratio::ZERO;
-        }
-        let ok = Cell::new(true);
-        let check = |r: Ratio| {
-            if r.checked_sub(base).is_none() {
-                ok.set(false);
-            }
-        };
-        check(self.v);
-        self.q.retag_all(
-            |key, start| {
-                check(key.0);
-                check(*start);
-            },
-            |ext| check(ext.last_finish),
-        );
-        if !ok.get() {
-            return Ratio::ZERO;
-        }
-        let shift = |r: Ratio| r.checked_sub(base).unwrap_or(r);
-        self.v = shift(self.v);
-        self.q.retag_all(
-            |key, start| {
-                key.0 = shift(key.0);
-                *start = shift(*start);
-            },
-            |ext| ext.last_finish = shift(ext.last_finish),
-        );
-        self.rebases += 1;
-        base
-    }
-
-    fn maybe_rebase_eager(&mut self) {
-        let Some(bits) = self.rebase_bits else {
-            return;
-        };
-        if self.v.magnitude_bits() > bits {
-            self.rebase();
-        }
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
-    /// Consume the scheduler, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.obs
-    }
-
-    /// Current virtual time (finish tag of packet in service).
-    pub fn virtual_time(&self) -> Ratio {
-        self.v
-    }
-
-    /// Tags of a queued packet. Diagnostic accessor (tests/telemetry):
-    /// scans the per-flow FIFOs rather than taxing the hot path with a
-    /// uid index.
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.q
-            .find(uid)
-            .map(|(&(finish, _), &start)| (start, finish))
-    }
-
-    /// Entries in the head-of-flow heap (diagnostic: ≤ backlogged flows
-    /// plus any stale entries awaiting lazy reclamation).
-    pub fn head_heap_len(&self) -> usize {
-        self.q.head_heap_len()
-    }
-
-    /// Live weight reconfiguration under the tag-rewrite rule (see
-    /// `sfq_core::Sfq::try_set_weight` and `docs/robustness.md`): the
-    /// backlogged head keeps its start/finish tags (its finish-ordered
-    /// heap entry stays valid), every later queued packet is re-chained
-    /// at the new rate (`S_j := F_{j-1}`, `F_j := S_j + l_j / r_new`),
-    /// and `last_finish` becomes the rewritten tail finish. Idle flows
-    /// only have their registered weight updated. All-or-nothing via a
-    /// dry overflow pass.
-    pub fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
-        if self.q.ext(flow).is_none() {
-            return Err(SchedError::UnknownFlow(flow));
-        }
-        if self.q.backlog(flow) == 0 {
-            self.q
-                .retag_flow(flow, |_, _, _, _| {}, |ext| ext.weight = weight);
-        } else {
-            // Dry pass: chain new finishes from the (unchanged) head
-            // finish, verifying every step fits before mutating.
-            let ok = Cell::new(true);
-            let prev = Cell::new(Ratio::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, _start| {
-                    if pos == 0 {
-                        prev.set(key.0);
-                    } else {
-                        match prev.get().checked_add(weight.tag_span(pkt.len)) {
-                            Some(f) => prev.set(f),
-                            None => ok.set(false),
-                        }
-                    }
-                },
-                |_| {},
-            );
-            if !ok.get() {
-                return Err(SchedError::TagOverflow);
-            }
-            let tail_finish = prev.get();
-            // Apply pass: verified above, so checked_add cannot fail.
-            let prev = Cell::new(Ratio::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, start| {
-                    if pos == 0 {
-                        prev.set(key.0);
-                        return;
-                    }
-                    let s = prev.get();
-                    let finish = s.checked_add(weight.tag_span(pkt.len)).unwrap_or(s);
-                    key.0 = finish;
-                    *start = s;
-                    prev.set(finish);
-                },
-                |ext| {
-                    ext.weight = weight;
-                    ext.last_finish = tail_finish;
-                },
-            );
-        }
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    /// Drop a flow and all of its queued packets immediately, without
-    /// the idle-only guard of [`Scheduler::remove_flow`]. Returns the
-    /// number of packets discarded.
-    pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        match self.q.force_remove_flow(flow) {
-            Some(dropped) => {
-                if let Some(t) = &self.tele {
-                    t.record_force_removed(dropped);
-                }
-                self.obs
-                    .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
-                dropped
-            }
-            None => 0,
-        }
-    }
-}
-
-impl Default for Scfq {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<O: SchedObserver> Scheduler for Scfq<O> {
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        assert!(weight.as_bps() > 0, "SCFQ: flow weight must be positive");
-        self.q
-            .upsert_flow(flow, || FlowExt {
-                weight,
-                last_finish: Ratio::ZERO,
-            })
-            .weight = weight;
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-        self.try_enqueue(now, pkt)
-            .unwrap_or_else(|e| panic!("SCFQ: {e}"));
-    }
-
-    fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        // Snapped at the read point to bound tag-denominator growth
-        // (no-op below denominators of 1e12; see Ratio::snap_pico).
-        let v = self.v.snap_pico();
-        let uid = pkt.uid;
-        let len = pkt.len;
-        let ((finish, _), start) = self.q.try_push_with(pkt, |ext| {
-            let start = v.max(ext.last_finish);
-            let finish = start.checked_add(ext.weight.tag_span(len))?;
-            ext.last_finish = finish;
-            Some(((finish, uid), start))
-        })?;
-        if let Some(t) = &self.tele {
-            t.record_enqueue(len.as_u64(), self.q.len());
-        }
-        self.obs.on_enqueue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid,
-            len,
-            start_tag: start,
-            finish_tag: finish,
-            v,
-        });
-        Ok(())
-    }
-
-    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) {
-        self.try_enqueue_batch(now, pkts)
-            .unwrap_or_else(|e| panic!("SCFQ: {e}"));
-    }
-
-    fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        // v(t) changes only at dequeues, so one eager-rebase check and
-        // one pico-grid snap serve the whole pure-enqueue run,
-        // bit-identically to the per-packet loop (see Sfq's override).
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        let v = self.v.snap_pico();
-        for &pkt in pkts {
-            let uid = pkt.uid;
-            let len = pkt.len;
-            let ((finish, _), start) = self.q.try_push_with(pkt, |ext| {
-                let start = v.max(ext.last_finish);
-                let finish = start.checked_add(ext.weight.tag_span(len))?;
-                ext.last_finish = finish;
-                Some(((finish, uid), start))
-            })?;
-            if let Some(t) = &self.tele {
-                t.record_enqueue(len.as_u64(), self.q.len());
-            }
-            self.obs.on_enqueue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid,
-                len,
-                start_tag: start,
-                finish_tag: finish,
-                v,
-            });
-        }
-        Ok(())
-    }
-
-    fn dequeue_batch(&mut self, now: SimTime, max: usize, out: &mut Vec<Packet>) -> usize {
-        let Scfq {
-            q, v, obs, tele, ..
-        } = self;
-        let n = q.pop_min_batch(max, |pkt, (finish, _), start| {
-            *v = finish;
-            if let Some(t) = tele {
-                t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-            }
-            obs.on_dequeue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: start,
-                finish_tag: finish,
-                v: finish,
-            });
-            out.push(pkt);
-        });
-        // The per-packet path rebases only when a dequeue empties the
-        // queue, i.e. after the batch's final packet; events always
-        // carry pre-rebase tags, so emitting them in the closure above
-        // is identical.
-        if n > 0 && self.rebase_bits.is_some() && self.q.is_empty() {
-            self.rebase();
-        }
-        if n > 0 {
-            self.gc_step();
-        }
-        n
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let (pkt, (finish, _), start) = self.q.pop_min()?;
-        self.v = finish;
-        if self.rebase_bits.is_some() && self.q.is_empty() {
-            // Queue drained — SCFQ's busy-period boundary and the
-            // cheapest rebase point (only per-flow last_finish state).
-            self.rebase();
-        }
-        if let Some(t) = &self.tele {
-            t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-        }
-        self.obs.on_dequeue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: start,
-            finish_tag: finish,
-            v: finish,
-        });
-        self.gc_step();
-        Some(pkt)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn backlog(&self, flow: FlowId) -> usize {
-        self.q.backlog(flow)
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) -> bool {
-        let removed = self.q.remove_flow(flow);
-        if removed {
-            self.obs.on_flow_change(flow, &FlowChange::Removed);
-        }
-        removed
-    }
-
-    fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        Scfq::force_remove_flow(self, flow)
-    }
-
-    fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        Scfq::try_set_weight(self, flow, weight)
-    }
-
-    fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let (pkt, (finish, _), start) = self.q.drop_front(flow)?;
-        if let Some(t) = &self.tele {
-            t.record_head_drop();
-        }
-        self.obs.on_drop(&SchedEvent {
-            time: pkt.arrival,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: start,
-            finish_tag: finish,
-            v: self.v,
-        });
-        Some(pkt)
-    }
-
-    fn name(&self) -> &'static str {
-        "SCFQ"
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
 //! Shared head-of-flow scheduling structure.
 //!
-//! PR 1 restructured `Sfq`, `Scfq`, and `VirtualClock` around the same
-//! shape — per-flow FIFO queues plus a priority heap holding **one
-//! entry per backlogged flow** (the key of that flow's head packet) —
-//! but each discipline carried its own copy of the mechanics. This
-//! module is the single implementation all three now share.
+//! The tag schedulers and `VirtualClock` share one shape — per-flow
+//! FIFO queues plus a priority heap holding **one entry per backlogged
+//! flow** (the key of that flow's head packet). This module is the
+//! single implementation of those mechanics; its users are the generic
+//! tag-scheduler core ([`crate::tagsched::TagSched`], behind `Sfq`,
+//! `SfqFast`, `Scfq` and `ScfqFast`) and `baselines::VirtualClock`.
 //!
 //! The structure is sound for any discipline whose per-flow key
 //! sequence is strictly increasing in arrival order (true of the
@@ -25,7 +26,9 @@
 //!   finish tag for SFQ, whose key orders by start tag).
 //!
 //! Tag arithmetic, virtual-time bookkeeping, and observer events stay
-//! in the disciplines — only the FIFO + heap mechanics live here.
+//! in the disciplines (for the tag schedulers: in
+//! [`crate::tagsched`]'s two hook traits and its one core) — only the
+//! FIFO + heap mechanics live here.
 //!
 //! ## Backends
 //!
@@ -187,6 +190,11 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
         FlowFifos { name, inner }
     }
 
+    /// The discipline name given at construction.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// Which backend this instance runs on.
     pub fn backend(&self) -> FifoBackend {
         match &self.inner {
@@ -327,6 +335,21 @@ impl<K: Ord + Copy, E, M: Copy> FlowFifos<K, E, M> {
                 Ok((key, meta))
             }
             Inner::Pooled(p) => p.try_push_with(pkt, tag),
+        }
+    }
+
+    /// The errors [`FlowFifos::try_push_with`] would return for `flow`
+    /// before tagging (unknown flow, exhausted pool), without its side
+    /// effects.
+    pub(crate) fn check_push(&mut self, flow: FlowId) -> Result<(), SchedError> {
+        let room = match &mut self.inner {
+            Inner::Owned(o) => o.flows.contains_key(&flow).then_some(true),
+            Inner::Pooled(p) => p.ids.get(flow).map(|_| p.slab.can_alloc()),
+        };
+        match room {
+            None => Err(SchedError::UnknownFlow(flow)),
+            Some(false) => Err(SchedError::BufferFull(flow)),
+            Some(true) => Ok(()),
         }
     }
 

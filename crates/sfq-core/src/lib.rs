@@ -14,10 +14,15 @@
 //!
 //! A scheduler is a pure data structure: its server (constant-rate,
 //! Fluctuation Constrained, or EBF — see the `servers` crate) decides
-//! *when* transmissions happen; the discipline decides *order*. All tag
-//! arithmetic is exact (`simtime::Ratio`), so the paper's fairness and
-//! delay theorems can be verified as exact inequalities in the test
-//! suite.
+//! *when* transmissions happen; the discipline decides *order*.
+//!
+//! [`Sfq`], its fixed-point twin [`SfqFast`], and the SCFQ comparator in
+//! both arithmetics ([`Scfq`], [`ScfqFast`]) are one scheduler: the
+//! generic [`TagSched`] core of [`tagsched`], instantiated with two hook
+//! traits — [`TagArith`] (exact `simtime::Ratio` tags, so the paper's
+//! fairness and delay theorems are verified as exact inequalities, or
+//! u64 fixed-point tags for the data path; see [`fixed`]) and
+//! [`VtRule`] (start-tag or finish-tag service order).
 //!
 //! Every scheduler is generic over an observer (see [`obs`]): the
 //! default [`NoopObserver`] compiles away; the `sfq-obs` crate provides
@@ -37,10 +42,12 @@ pub mod obs;
 mod packet;
 pub mod pool;
 pub mod prefetch;
+mod scfq;
 mod scfq_fast;
 mod sched;
 mod sfq;
 mod sfq_fast;
+pub mod tagsched;
 
 pub use fair_airport::{FairAirport, ServedVia};
 pub use fixed::{FixedInc, FixedTag, DEFAULT_SHIFT, ISM_SHIFT, MAX_REBASE_BITS, MAX_SHIFT};
@@ -49,10 +56,12 @@ pub use hier::{ClassId, HierSfq};
 pub use obs::{Backpressure, FlowChange, NoopObserver, SchedEvent, SchedObserver};
 pub use packet::{FlowId, Packet, PacketFactory};
 pub use pool::{FlowMap, PktPool, PktRef, PoolStats, ReturnQueue, SlabPool};
+pub use scfq::Scfq;
 pub use scfq_fast::ScfqFast;
 pub use sched::{ReconfigCmd, SchedError, Scheduler, TieBreak};
 pub use sfq::Sfq;
 pub use sfq_fast::SfqFast;
+pub use tagsched::{Exact, FinishVt, Fixed, StartVt, TagArith, TagSched, VtRule};
 // Counter-page telemetry handle the schedulers accept via
 // `attach_telemetry` (see the `sfq-telemetry` crate and
 // docs/telemetry.md); re-exported so scheduler users need not name the

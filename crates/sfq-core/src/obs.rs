@@ -79,9 +79,9 @@ pub enum Backpressure {
 /// Observation hooks called by schedulers. All methods default to
 /// no-ops so implementors override only what they need.
 pub trait SchedObserver {
-    /// Whether this observer does anything at all. The fixed-point fast
-    /// paths (`SfqFast`/`ScfqFast`) consult this to skip constructing
-    /// [`SchedEvent`]s entirely when the observer is a no-op: event
+    /// Whether this observer does anything at all. The tag schedulers
+    /// consult this to skip constructing [`SchedEvent`]s entirely when
+    /// the observer is a no-op: on the fixed-point instantiations event
     /// construction converts u64 tags to exact [`Ratio`]s, which is a
     /// non-inlined gcd call the optimizer cannot always remove on its
     /// own. Defaults to `true`; only [`NoopObserver`] (and wrappers

@@ -1,67 +1,44 @@
 //! Fixed-point fast-path SCFQ (see [`crate::fixed`] for the
 //! arithmetic).
 //!
-//! `ScfqFast` runs the Self-Clocked Fair Queuing algorithm of the
-//! `baselines` crate's `Scfq` — the Eq. 4/5 tag recurrence served in
+//! `ScfqFast` runs the Self-Clocked Fair Queuing algorithm of
+//! [`Scfq`](crate::Scfq) — the Eq. 4/5 tag recurrence served in
 //! increasing **finish**-tag order, with `v(t)` = the finish tag of the
-//! packet in service — over u64 [`FixedTag`]s and precomputed
-//! [`FixedInc`] inverse rates. It lives in `sfq-core` beside
-//! [`SfqFast`](crate::SfqFast) so the two fast paths share the
-//! fixed-point module (and so `sfq-core` need not depend on
-//! `baselines`); the differential suite proves it bit-identical to the
-//! exact `Scfq` on quantization-safe workloads, just as `SfqFast` is to
-//! `Sfq`. Wraparound safety and the quantization error bound are the
-//! same as [`crate::sfq_fast`]'s — see docs/fixed_point.md.
+//! packet in service — over u64 [`FixedTag`](crate::FixedTag)s and
+//! precomputed [`FixedInc`](crate::FixedInc) inverse rates: the
+//! fixed-point, finish-tag instantiation of the shared tag-scheduler
+//! core ([`crate::tagsched`]). The differential suite proves it
+//! bit-identical to the exact `Scfq` on quantization-safe workloads,
+//! just as `SfqFast` is to `Sfq`. Wraparound safety and the
+//! quantization error bound are the same as [`crate::sfq_fast`]'s — see
+//! docs/fixed_point.md.
 
-use crate::fixed::{FixedInc, FixedTag, DEFAULT_SHIFT, MAX_REBASE_BITS, MAX_SHIFT};
-use crate::flowq::{FifoBackend, FlowFifos};
-use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use crate::packet::{FlowId, Packet};
-use crate::pool::PoolStats;
-use crate::sched::{SchedError, Scheduler};
-use crate::sfq::GC_BUDGET;
-use sfq_telemetry::TelemetrySink;
+use crate::flowq::FifoBackend;
+use crate::obs::{NoopObserver, SchedObserver};
+use crate::sched::{SchedError, TieBreak};
+use crate::tagsched::{FinishVt, Fixed, TagSched};
+
+#[cfg(test)]
+use crate::{
+    fixed::{DEFAULT_SHIFT, MAX_SHIFT},
+    packet::FlowId,
+    sched::Scheduler,
+};
+#[cfg(test)]
 use simtime::{Rate, Ratio, SimTime};
-use std::cell::Cell;
-
-#[derive(Debug)]
-struct FastExt {
-    weight: Rate,
-    inc: FixedInc,
-    last_finish: FixedTag,
-}
 
 /// Fixed-point Self-Clocked Fair Queuing: same algorithm and observable
-/// contract as the `baselines` crate's `Scfq`, u64 tag arithmetic.
-#[derive(Debug)]
-pub struct ScfqFast<O: SchedObserver = NoopObserver> {
-    /// Key `(finish, uid)`; per-packet metadata carries the start tag.
-    q: FlowFifos<(FixedTag, u64), FastExt, FixedTag>,
-    /// Fractional bits of the tag grid (1..=[`MAX_SHIFT`]).
-    shift: u32,
-    /// v(t): finish tag of the packet in service (kept after service so
-    /// arrivals between departures see the last served packet's tag).
-    v: FixedTag,
-    /// Virtual-time rebasing threshold in magnitude bits (clamped to
-    /// [`MAX_REBASE_BITS`] when tested), or `None` when disabled.
-    rebase_bits: Option<u32>,
-    /// Number of rebases applied so far.
-    rebases: u64,
-    /// Lazy flow GC armed (see [`ScfqFast::enable_flow_gc`]).
-    gc: bool,
-    obs: O,
-    /// Counter-page sink (see [`ScfqFast::attach_telemetry`]).
-    tele: Option<TelemetrySink>,
-}
+/// contract as [`Scfq`](crate::Scfq), u64 tag arithmetic.
+pub type ScfqFast<O = NoopObserver> = TagSched<Fixed, FinishVt, O>;
 
 impl ScfqFast {
-    /// New fixed-point SCFQ at [`DEFAULT_SHIFT`].
+    /// New fixed-point SCFQ at [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn new() -> Self {
         Self::with_observer(NoopObserver)
     }
 
     /// New fixed-point SCFQ on a custom `2^shift` tag grid; rejects
-    /// `shift == 0` and `shift >` [`MAX_SHIFT`] with
+    /// `shift == 0` and `shift >` [`MAX_SHIFT`](crate::MAX_SHIFT) with
     /// [`SchedError::TagOverflow`].
     pub fn with_shift(shift: u32) -> Result<Self, SchedError> {
         Self::with_shift_observer(shift, NoopObserver)
@@ -70,13 +47,9 @@ impl ScfqFast {
 
 impl<O: SchedObserver> ScfqFast<O> {
     /// New fixed-point SCFQ reporting events to `obs` at
-    /// [`DEFAULT_SHIFT`].
+    /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_observer(obs: O) -> Self {
-        match Self::with_shift_observer(DEFAULT_SHIFT, obs) {
-            Ok(s) => s,
-            // DEFAULT_SHIFT is within 1..=MAX_SHIFT by construction.
-            Err(_) => unreachable!("DEFAULT_SHIFT is always valid"),
-        }
+        Self::from_fixed(Fixed::DEFAULT, obs, FifoBackend::default())
     }
 
     /// New fixed-point SCFQ with custom shift and observer.
@@ -87,459 +60,18 @@ impl<O: SchedObserver> ScfqFast<O> {
     /// New fixed-point SCFQ with every knob explicit, including the
     /// [`FifoBackend`] (owned = differential oracle).
     pub fn with_parts(shift: u32, obs: O, backend: FifoBackend) -> Result<Self, SchedError> {
-        if shift == 0 || shift > MAX_SHIFT {
-            return Err(SchedError::TagOverflow);
-        }
-        Ok(ScfqFast {
-            q: FlowFifos::new_with("SCFQ-FAST", backend),
-            shift,
-            v: FixedTag::ZERO,
-            rebase_bits: None,
-            rebases: 0,
-            gc: false,
-            obs,
-            tele: None,
-        })
+        Ok(Self::from_fixed(Fixed::new(shift)?, obs, backend))
     }
 
-    /// Attach a plain-write counter-page sink (see
-    /// `Sfq::attach_telemetry` and `docs/telemetry.md`).
-    pub fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        self.tele = Some(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.tele.as_ref()
-    }
-
-    /// Enable lazy flow GC (pooled backend only): a drained flow is
-    /// reclaimed once its `last_finish ≤ v(t)` — same revival-stable
-    /// condition as `SfqFast::enable_flow_gc` (SCFQ's `v` is also
-    /// non-decreasing and never re-snapped).
-    pub fn enable_flow_gc(&mut self) {
-        self.gc = true;
-        self.q.enable_gc();
-    }
-
-    /// Cap the pooled backend's packet-slot footprint; exhaustion
-    /// surfaces as [`SchedError::BufferFull`] from `try_enqueue`.
-    pub fn set_pool_limit(&mut self, limit: Option<usize>) {
-        self.q.set_pool_limit(limit);
-    }
-
-    /// Pool accounting (`None` on the owned backend).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.q.pool_stats()
-    }
-
-    /// Currently registered flows.
-    pub fn live_flows(&self) -> usize {
-        self.q.live_flows()
-    }
-
-    fn gc_step(&mut self) {
-        if !self.gc {
-            return;
-        }
-        let horizon = self.v;
-        self.q.gc_step(GC_BUDGET, |ext| ext.last_finish <= horizon);
-    }
-
-    /// Enable virtual-time rebasing; same contract as `Scfq`'s, with
-    /// the threshold clamped to [`MAX_REBASE_BITS`] (see
-    /// `SfqFast::enable_rebasing`).
-    pub fn enable_rebasing(&mut self, threshold_bits: u32) {
-        self.rebase_bits = Some(threshold_bits);
-    }
-
-    /// Number of rebases applied so far.
-    pub fn rebases(&self) -> u64 {
-        self.rebases
-    }
-
-    /// The tag grid's fractional bit count.
-    pub fn shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
-    /// Consume the scheduler, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.obs
-    }
-
-    /// Current virtual time in fixed point.
-    pub fn virtual_time_fixed(&self) -> FixedTag {
-        self.v
-    }
-
-    /// Current virtual time as an exact rational (diagnostic parity
-    /// with `Scfq::virtual_time`).
-    pub fn virtual_time(&self) -> Ratio {
-        self.v.to_ratio(self.shift)
-    }
-
-    /// Tags of a queued packet, as exact rationals. Diagnostic
-    /// accessor; scans the per-flow FIFOs.
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.q
-            .find(uid)
-            .map(|(&(finish, _), &start)| (start.to_ratio(self.shift), finish.to_ratio(self.shift)))
-    }
-
-    /// Entries in the head-of-flow heap (diagnostic).
-    pub fn head_heap_len(&self) -> usize {
-        self.q.head_heap_len()
-    }
-
-    /// Rebase immediately: the fixed-point mirror of `Scfq::rebase`,
-    /// saturating instead of dry-checking (see `SfqFast::rebase` for
-    /// the soundness argument). Returns the baseline subtracted.
-    pub fn rebase(&mut self) -> FixedTag {
-        let base = self.v.floor_to_base(self.shift);
-        if base.raw() == 0 {
-            return FixedTag::ZERO;
-        }
-        self.v = self.v.saturating_sub(base);
-        self.q.retag_all(
-            |key, start| {
-                key.0 = key.0.saturating_sub(base);
-                *start = start.saturating_sub(base);
-            },
-            |ext| ext.last_finish = ext.last_finish.saturating_sub(base),
-        );
-        self.rebases += 1;
-        base
-    }
-
-    fn maybe_rebase_eager(&mut self) {
-        let Some(bits) = self.rebase_bits else {
-            return;
-        };
-        if self.v.magnitude_bits() > bits.min(MAX_REBASE_BITS) {
-            self.rebase();
-        }
-    }
-
-    /// Live weight reconfiguration under the tag-rewrite rule, the
-    /// fixed-point mirror of `Scfq::try_set_weight` (see
-    /// `docs/robustness.md`): the backlogged head keeps its tags,
-    /// every later queued packet is re-chained at the new rate's
-    /// [`FixedInc`] span, and `last_finish` becomes the rewritten tail
-    /// finish. Idle flows only have their weight/increment refreshed.
-    /// All-or-nothing via increment construction plus a dry chain pass.
-    pub fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
-        if self.q.ext(flow).is_none() {
-            return Err(SchedError::UnknownFlow(flow));
-        }
-        let inc = FixedInc::new(flow, weight, self.shift)?;
-        if self.q.backlog(flow) == 0 {
-            self.q.retag_flow(
-                flow,
-                |_, _, _, _| {},
-                |ext| {
-                    ext.weight = weight;
-                    ext.inc = inc;
-                },
-            );
-        } else {
-            // Dry pass: chain new finishes from the (unchanged) head
-            // finish, verifying every span and add fits.
-            let ok = Cell::new(true);
-            let prev = Cell::new(FixedTag::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, _start| {
-                    if pos == 0 {
-                        prev.set(key.0);
-                    } else {
-                        match inc
-                            .span(pkt.len)
-                            .ok()
-                            .and_then(|s| prev.get().checked_add(s))
-                        {
-                            Some(f) => prev.set(f),
-                            None => ok.set(false),
-                        }
-                    }
-                },
-                |_| {},
-            );
-            if !ok.get() {
-                return Err(SchedError::TagOverflow);
-            }
-            let tail_finish = prev.get();
-            // Apply pass: verified above, so the fallbacks never fire.
-            let prev = Cell::new(FixedTag::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, start| {
-                    if pos == 0 {
-                        prev.set(key.0);
-                        return;
-                    }
-                    let s = prev.get();
-                    let finish = inc
-                        .span(pkt.len)
-                        .ok()
-                        .and_then(|sp| s.checked_add(sp))
-                        .unwrap_or(s);
-                    key.0 = finish;
-                    *start = s;
-                    prev.set(finish);
-                },
-                |ext| {
-                    ext.weight = weight;
-                    ext.inc = inc;
-                    ext.last_finish = tail_finish;
-                },
-            );
-        }
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    /// Drop a flow and all of its queued packets immediately; see
-    /// `Scfq::force_remove_flow` for the contract.
-    pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        match self.q.force_remove_flow(flow) {
-            Some(dropped) => {
-                if let Some(t) = &self.tele {
-                    t.record_force_removed(dropped);
-                }
-                self.obs
-                    .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
-                dropped
-            }
-            None => 0,
-        }
+    fn from_fixed(arith: Fixed, obs: O, backend: FifoBackend) -> Self {
+        // SCFQ's heap key has no tie-break field, so the rule is unused.
+        TagSched::from_parts("SCFQ-FAST", arith, TieBreak::Fifo, obs, backend)
     }
 }
 
 impl Default for ScfqFast {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<O: SchedObserver> Scheduler for ScfqFast<O> {
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        self.try_add_flow(flow, weight)
-            .unwrap_or_else(|e| panic!("SCFQ-FAST: {e}"));
-    }
-
-    fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        let inc = FixedInc::new(flow, weight, self.shift)?;
-        let ext = self.q.upsert_flow(flow, || FastExt {
-            weight,
-            inc,
-            last_finish: FixedTag::ZERO,
-        });
-        ext.weight = weight;
-        ext.inc = inc;
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-        self.try_enqueue(now, pkt)
-            .unwrap_or_else(|e| panic!("SCFQ-FAST: {e}"));
-    }
-
-    fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        // No pico-grid snap: fixed tags are already on the 2^-shift
-        // grid (see SfqFast::try_enqueue).
-        let v = self.v;
-        let uid = pkt.uid;
-        let len = pkt.len;
-        let ((finish, _), start) = self.q.try_push_with(pkt, |ext| {
-            let span = ext.inc.span(len).ok()?;
-            let start = v.max(ext.last_finish);
-            let finish = start.checked_add(span)?;
-            ext.last_finish = finish;
-            Some(((finish, uid), start))
-        })?;
-        if let Some(t) = &self.tele {
-            t.record_enqueue(len.as_u64(), self.q.len());
-        }
-        if self.obs.active() {
-            self.obs.on_enqueue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid,
-                len,
-                start_tag: start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: v.to_ratio(self.shift),
-            });
-        }
-        Ok(())
-    }
-
-    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) {
-        self.try_enqueue_batch(now, pkts)
-            .unwrap_or_else(|e| panic!("SCFQ-FAST: {e}"));
-    }
-
-    fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        // One rebase check and one v read serve the whole pure-enqueue
-        // run, bit-identically to the per-packet loop (see Scfq).
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        let v = self.v;
-        for &pkt in pkts {
-            let uid = pkt.uid;
-            let len = pkt.len;
-            let ((finish, _), start) = self.q.try_push_with(pkt, |ext| {
-                let span = ext.inc.span(len).ok()?;
-                let start = v.max(ext.last_finish);
-                let finish = start.checked_add(span)?;
-                ext.last_finish = finish;
-                Some(((finish, uid), start))
-            })?;
-            if let Some(t) = &self.tele {
-                t.record_enqueue(len.as_u64(), self.q.len());
-            }
-            if self.obs.active() {
-                self.obs.on_enqueue(&SchedEvent {
-                    time: now,
-                    flow: pkt.flow,
-                    uid,
-                    len,
-                    start_tag: start.to_ratio(self.shift),
-                    finish_tag: finish.to_ratio(self.shift),
-                    v: v.to_ratio(self.shift),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn dequeue_batch(&mut self, now: SimTime, max: usize, out: &mut Vec<Packet>) -> usize {
-        let shift = self.shift;
-        let ScfqFast {
-            q, v, obs, tele, ..
-        } = self;
-        let n = q.pop_min_batch(max, |pkt, (finish, _), start| {
-            *v = finish;
-            if let Some(t) = tele {
-                t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-            }
-            if obs.active() {
-                obs.on_dequeue(&SchedEvent {
-                    time: now,
-                    flow: pkt.flow,
-                    uid: pkt.uid,
-                    len: pkt.len,
-                    start_tag: start.to_ratio(shift),
-                    finish_tag: finish.to_ratio(shift),
-                    v: finish.to_ratio(shift),
-                });
-            }
-            out.push(pkt);
-        });
-        // Same rebase placement as the exact Scfq: only after a batch
-        // that drained the queue, events carrying pre-rebase tags.
-        if n > 0 && self.rebase_bits.is_some() && self.q.is_empty() {
-            self.rebase();
-        }
-        if n > 0 {
-            self.gc_step();
-        }
-        n
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let (pkt, (finish, _), start) = self.q.pop_min()?;
-        self.v = finish;
-        if self.rebase_bits.is_some() && self.q.is_empty() {
-            // Queue drained — SCFQ's busy-period boundary.
-            self.rebase();
-        }
-        if let Some(t) = &self.tele {
-            t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-        }
-        if self.obs.active() {
-            self.obs.on_dequeue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: finish.to_ratio(self.shift),
-            });
-        }
-        self.gc_step();
-        Some(pkt)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn backlog(&self, flow: FlowId) -> usize {
-        self.q.backlog(flow)
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) -> bool {
-        let removed = self.q.remove_flow(flow);
-        if removed {
-            self.obs.on_flow_change(flow, &FlowChange::Removed);
-        }
-        removed
-    }
-
-    fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        ScfqFast::force_remove_flow(self, flow)
-    }
-
-    fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        ScfqFast::try_set_weight(self, flow, weight)
-    }
-
-    fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let (pkt, (finish, _), start) = self.q.drop_front(flow)?;
-        if let Some(t) = &self.tele {
-            t.record_head_drop();
-        }
-        if self.obs.active() {
-            self.obs.on_drop(&SchedEvent {
-                time: pkt.arrival,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: self.v.to_ratio(self.shift),
-            });
-        }
-        Some(pkt)
-    }
-
-    fn name(&self) -> &'static str {
-        "SCFQ-FAST"
     }
 }
 

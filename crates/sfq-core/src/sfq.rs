@@ -14,50 +14,32 @@
 //! is what makes SFQ as cheap as SCFQ while keeping fairness over
 //! arbitrary (even fluctuating-rate) servers.
 //!
-//! # Head-of-flow scheduling structure
-//!
-//! Packets live in per-flow FIFOs with a heap holding one entry per
-//! backlogged flow — the shared [`crate::flowq::FlowFifos`] structure
-//! (see its module docs for the soundness argument). Dequeue order —
-//! including [`TieBreak`] and uid tie resolution — is identical to a
-//! heap over all packets, but heap operations cost `O(log Q)` in the
-//! number of *backlogged flows* instead of `O(log N)` in the number of
-//! *queued packets*: under deep backlogs the restructure keeps
-//! per-packet cost flat.
-//!
-//! # Observation
-//!
-//! `Sfq` is generic over an observer `O:`[`SchedObserver`] (default
-//! [`NoopObserver`], which compiles away) and reports each tag
-//! assignment, service selection, and flow change — see
-//! [`crate::obs`].
+//! `Sfq` is the exact-arithmetic, start-tag instantiation of the shared
+//! tag-scheduler core ([`crate::tagsched`]), which holds the algorithm,
+//! its head-of-flow queue structure and its observer events.
 
-use crate::flowq::{FifoBackend, FlowFifos};
-use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use crate::packet::{FlowId, Packet};
-use crate::pool::PoolStats;
-use crate::sched::{SchedError, Scheduler, TieBreak};
-use sfq_telemetry::TelemetrySink;
+use crate::flowq::FifoBackend;
+use crate::obs::{NoopObserver, SchedObserver};
+use crate::sched::TieBreak;
+use crate::tagsched::{Exact, StartVt, TagSched};
+
+#[cfg(test)]
+use crate::{
+    obs::SchedEvent,
+    packet::{FlowId, Packet},
+    sched::Scheduler,
+};
+#[cfg(test)]
 use simtime::{Rate, Ratio, SimTime};
-use std::cell::Cell;
 
-pub(crate) use crate::flowq::GC_BUDGET;
-
-/// Heap ordering key: primary start tag, then the tie-break key, then
-/// packet uid for full determinism.
+/// The exact SFQ heap order, for the global-heap oracle below: start
+/// tag, then the tie-break key, then packet uid.
+#[cfg(test)]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct Key {
     start: Ratio,
     tie: i128,
     uid: u64,
-}
-
-#[derive(Debug)]
-struct FlowExt {
-    weight: Rate,
-    /// `F(p_f^{j-1})`: finish tag of the flow's previous packet
-    /// (zero before the first packet, per the paper).
-    last_finish: Ratio,
 }
 
 /// The Start-time Fair Queuing scheduler.
@@ -91,31 +73,9 @@ struct FlowExt {
 /// .collect();
 /// assert_eq!(order, vec![1, 2, 1]);
 /// ```
-#[derive(Debug)]
-pub struct Sfq<O: SchedObserver = NoopObserver> {
-    q: FlowFifos<Key, FlowExt, Ratio>,
-    tie: TieBreak,
-    /// Current virtual time `v(t)` outside of service; while a packet is
-    /// in service `in_service` overrides this.
-    v: Ratio,
-    /// Start tag of the packet currently in service, if any.
-    in_service: Option<Ratio>,
-    /// Maximum finish tag assigned to any packet serviced so far.
-    max_finish_served: Ratio,
-    /// Virtual-time rebasing threshold in magnitude bits, or `None`
-    /// when rebasing is disabled (the seed behaviour: tags grow without
-    /// bound and arithmetic panics at the `i128` edge). See
-    /// [`Sfq::enable_rebasing`].
-    rebase_bits: Option<u32>,
-    /// Number of rebases applied so far.
-    rebases: u64,
-    /// Lazy flow GC armed (see [`Sfq::enable_flow_gc`]).
-    gc: bool,
-    obs: O,
-    /// Counter-page sink (see [`Sfq::attach_telemetry`]); `None` costs
-    /// one branch per operation.
-    tele: Option<TelemetrySink>,
-}
+///
+/// [`Scheduler::enqueue`]: crate::Scheduler::enqueue
+pub type Sfq<O = NoopObserver> = TagSched<Exact, StartVt, O>;
 
 impl Sfq {
     /// New SFQ scheduler with FIFO tie-breaking.
@@ -141,564 +101,13 @@ impl<O: SchedObserver> Sfq<O> {
     /// differential oracle (`tests/pool_identity.rs`); production
     /// callers take the pooled default.
     pub fn with_parts(tie: TieBreak, obs: O, backend: FifoBackend) -> Self {
-        Sfq {
-            q: FlowFifos::new_with("SFQ", backend),
-            tie,
-            v: Ratio::ZERO,
-            in_service: None,
-            max_finish_served: Ratio::ZERO,
-            rebase_bits: None,
-            rebases: 0,
-            gc: false,
-            obs,
-            tele: None,
-        }
-    }
-
-    /// Attach a plain-write counter-page sink: every enqueue, dequeue,
-    /// head drop, refusal-shaped error, and force-removal from now on
-    /// is counted into the sink's [`sfq_telemetry::StatPage`] with
-    /// relaxed stores (no tag conversions, no observer machinery — see
-    /// `docs/telemetry.md` for when to prefer this over
-    /// [`SchedObserver`]).
-    pub fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        self.tele = Some(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.tele.as_ref()
-    }
-
-    /// Enable lazy flow GC (pooled backend only): a flow whose backlog
-    /// drains is reclaimed — id unlinked, table slot recycled — once
-    /// its `last_finish` tag falls at or below `⌊v(t)⌋`, the point
-    /// after which a revived flow starting from fresh state (Eq. 4's
-    /// `max` with `F(p_f^0) = 0`) computes exactly the tags it would
-    /// have computed anyway: dequeue order stays bit-identical while
-    /// the flow table stays bounded by the *live* flow set under
-    /// churn. A reclaimed flow must be re-registered before it can
-    /// enqueue again, matching [`Scheduler::remove_flow`] semantics.
-    pub fn enable_flow_gc(&mut self) {
-        self.gc = true;
-        self.q.enable_gc();
-    }
-
-    /// Cap the pooled backend's packet-slot footprint; see
-    /// [`FlowFifos::set_pool_limit`]. Exhaustion surfaces as
-    /// [`SchedError::BufferFull`] from the `try_enqueue` family.
-    pub fn set_pool_limit(&mut self, limit: Option<usize>) {
-        self.q.set_pool_limit(limit);
-    }
-
-    /// Pool accounting (`None` on the owned backend).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.q.pool_stats()
-    }
-
-    /// Currently registered flows.
-    pub fn live_flows(&self) -> usize {
-        self.q.live_flows()
-    }
-
-    /// Amortized GC work on the dequeue side: examine a few drained
-    /// flows and reclaim those whose tags are safely behind `v(t)`.
-    fn gc_step(&mut self) {
-        if !self.gc {
-            return;
-        }
-        // Floor the safety horizon: future enqueues snap v(t) to the
-        // pico grid, and `⌊v⌋ ≤ snap(v') for every v' ≥ v`, so a flow
-        // with last_finish ≤ ⌊v⌋ can never again win Eq. 4's max —
-        // reclaiming it cannot change any future tag.
-        let horizon = Ratio::from_int(self.virtual_time().floor());
-        self.q.gc_step(GC_BUDGET, |ext| ext.last_finish <= horizon);
-    }
-
-    /// Enable virtual-time rebasing: at every busy-period boundary, and
-    /// eagerly whenever `v(t)`'s numerator/denominator magnitude
-    /// exceeds `threshold_bits`, the integer part of the current `v(t)`
-    /// baseline is subtracted from every live start/finish tag, every
-    /// flow's `last_finish`, and the virtual-time state itself.
-    ///
-    /// Because the baseline is an integer and Eqs. 4/5 are built from
-    /// `max`, `+`, comparisons, and the pico-grid snap — all of which
-    /// commute exactly with an integer shift — the rebased scheduler's
-    /// dequeue order and observer-visible normalized-service lags are
-    /// bit-identical to the un-rebased one, while tag magnitudes stay
-    /// bounded by the active backlog's virtual span instead of the
-    /// server's lifetime. `threshold_bits = 0` forces a rebase attempt
-    /// on every enqueue (useful in tests); ~96 is a practical
-    /// production margin (rebases long before the 127-bit edge).
-    pub fn enable_rebasing(&mut self, threshold_bits: u32) {
-        self.rebase_bits = Some(threshold_bits);
-    }
-
-    /// Number of rebases applied so far (0 unless
-    /// [`Sfq::enable_rebasing`] was called).
-    pub fn rebases(&self) -> u64 {
-        self.rebases
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
-    /// Consume the scheduler, returning the observer (e.g. to read a
-    /// trace back out after a run).
-    pub fn into_observer(self) -> O {
-        self.obs
-    }
-
-    /// The server virtual time `v(t)` right now: the start tag of the
-    /// packet in service, else the stored value (start tag of the last
-    /// served packet during a busy period, or the max finish tag served
-    /// after a busy period ended).
-    pub fn virtual_time(&self) -> Ratio {
-        self.in_service.unwrap_or(self.v)
-    }
-
-    /// Start/finish tags assigned to a still-queued packet, if present.
-    /// Diagnostic accessor (tests/telemetry): scans the per-flow FIFOs
-    /// rather than taxing the enqueue/dequeue hot path with a uid index.
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.q.find(uid).map(|(key, finish)| (key.start, *finish))
-    }
-
-    /// The finish tag `F(p_f^{j-1})` state of a flow (0 before its first
-    /// packet).
-    pub fn flow_last_finish(&self, flow: FlowId) -> Option<Ratio> {
-        self.q.ext(flow).map(|e| e.last_finish)
-    }
-
-    /// Number of entries currently in the head-of-flow heap. Diagnostic:
-    /// at most one live entry per backlogged flow (plus stale entries
-    /// left by [`Sfq::force_remove_flow`], reclaimed lazily).
-    pub fn head_heap_len(&self) -> usize {
-        self.q.head_heap_len()
-    }
-
-    /// Enqueue charging the packet at an explicit rate `r_f^j`
-    /// (generalized SFQ, Eq. 36). The weight registered via `add_flow`
-    /// is ignored for this packet's finish tag.
-    pub fn enqueue_with_rate(&mut self, now: SimTime, pkt: Packet, rate: Rate) {
-        self.try_enqueue_with_rate(now, pkt, rate)
-            .unwrap_or_else(|e| panic!("SFQ: {e}"));
-    }
-
-    /// Fallible [`Sfq::enqueue_with_rate`]: [`SchedError::UnknownFlow`]
-    /// for an unregistered flow, [`SchedError::ZeroWeight`] for a zero
-    /// charging rate, and [`SchedError::TagOverflow`] when the Eq. 5
-    /// finish tag would leave `i128` range — the scheduler state is
-    /// untouched on every error path.
-    pub fn try_enqueue_with_rate(
-        &mut self,
-        now: SimTime,
-        pkt: Packet,
-        rate: Rate,
-    ) -> Result<(), SchedError> {
-        if rate.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(pkt.flow));
-        }
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        // Snap the virtual time at its read point: bounds tag
-        // denominators under adversarial weight mixes (no-op at the
-        // scales the exact theorem tests run at; see Ratio::snap_pico).
-        let v_now = self.virtual_time().snap_pico();
-        let tie = self.tie.key(rate);
-        let uid = pkt.uid;
-        let (key, finish) = self.q.try_push_with(pkt, |ext| {
-            let start = v_now.max(ext.last_finish);
-            let finish = start.checked_add(rate.tag_span(pkt.len))?;
-            ext.last_finish = finish;
-            Some((Key { start, tie, uid }, finish))
-        })?;
-        if let Some(t) = &self.tele {
-            t.record_enqueue(pkt.len.as_u64(), self.q.len());
-        }
-        self.obs.on_enqueue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: key.start,
-            finish_tag: finish,
-            v: v_now,
-        });
-        Ok(())
-    }
-
-    /// Rebase immediately: subtract the integer part of the current
-    /// `v(t)` from every live start/finish tag, every flow's
-    /// `last_finish`, and the virtual-time state. All-or-nothing — a
-    /// dry pass verifies every subtraction fits (it always does for an
-    /// integer baseline below `v(t)` at sane magnitudes) before any
-    /// state is mutated. Returns the baseline subtracted, zero when the
-    /// integer part is not yet positive or the shift would not fit.
-    pub fn rebase(&mut self) -> Ratio {
-        let base = Ratio::from_int(self.virtual_time().floor());
-        if !base.is_positive() {
-            return Ratio::ZERO;
-        }
-        let ok = Cell::new(true);
-        let check = |r: Ratio| {
-            if r.checked_sub(base).is_none() {
-                ok.set(false);
-            }
-        };
-        check(self.v);
-        check(self.max_finish_served);
-        if let Some(s) = self.in_service {
-            check(s);
-        }
-        self.q.retag_all(
-            |key, finish| {
-                check(key.start);
-                check(*finish);
-            },
-            |ext| check(ext.last_finish),
-        );
-        if !ok.get() {
-            return Ratio::ZERO;
-        }
-        let shift = |r: Ratio| r.checked_sub(base).unwrap_or(r);
-        self.v = shift(self.v);
-        self.max_finish_served = shift(self.max_finish_served);
-        self.in_service = self.in_service.map(shift);
-        self.q.retag_all(
-            |key, finish| {
-                key.start = shift(key.start);
-                *finish = shift(*finish);
-            },
-            |ext| ext.last_finish = shift(ext.last_finish),
-        );
-        self.rebases += 1;
-        base
-    }
-
-    fn maybe_rebase_eager(&mut self) {
-        let Some(bits) = self.rebase_bits else {
-            return;
-        };
-        if self.virtual_time().magnitude_bits() > bits {
-            self.rebase();
-        }
-    }
-
-    /// Live weight reconfiguration under the **tag-rewrite rule** (see
-    /// `docs/robustness.md`): the backlogged head packet keeps its
-    /// start/finish tags untouched — its heap entry stays valid, so no
-    /// heap surgery is needed — and every subsequent queued packet is
-    /// re-chained at the new rate, `S_j := F_{j-1}`,
-    /// `F_j := S_j + l_j / r_new`, with tie keys rebuilt for the new
-    /// weight. The flow's `last_finish` becomes the rewritten tail
-    /// finish, so packets arriving after the call chain from the new
-    /// rate. An idle flow only has its registered weight updated.
-    ///
-    /// Because a backlogged flow's queued chain already satisfies
-    /// `S_j = F_{j-1}` exactly (Eq. 4's `max` resolves to the flow term
-    /// while backlogged), re-applying the rule at the *same* weight
-    /// reproduces every tag bit for bit — the no-op reconfig is
-    /// provably invisible.
-    ///
-    /// All-or-nothing: a dry pass verifies every rewritten finish tag
-    /// fits in range before any state is mutated
-    /// ([`SchedError::TagOverflow`] otherwise). O(flow backlog), zero
-    /// heap traffic.
-    pub fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
-        if self.q.ext(flow).is_none() {
-            return Err(SchedError::UnknownFlow(flow));
-        }
-        if self.q.backlog(flow) == 0 {
-            self.q
-                .retag_flow(flow, |_, _, _, _| {}, |ext| ext.weight = weight);
-        } else {
-            // Dry pass: chain the new tags from the (unchanged) head
-            // finish, verifying every step fits before mutating.
-            let ok = Cell::new(true);
-            let prev = Cell::new(Ratio::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, _key, meta| {
-                    if pos == 0 {
-                        prev.set(*meta);
-                    } else {
-                        match prev.get().checked_add(weight.tag_span(pkt.len)) {
-                            Some(f) => prev.set(f),
-                            None => ok.set(false),
-                        }
-                    }
-                },
-                |_| {},
-            );
-            if !ok.get() {
-                return Err(SchedError::TagOverflow);
-            }
-            let tail_finish = prev.get();
-            // Apply pass: verified above, so checked_add cannot fail.
-            let prev = Cell::new(Ratio::ZERO);
-            let tie = self.tie.key(weight);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, meta| {
-                    if pos == 0 {
-                        prev.set(*meta);
-                        return;
-                    }
-                    let start = prev.get();
-                    let finish = start.checked_add(weight.tag_span(pkt.len)).unwrap_or(start);
-                    key.start = start;
-                    key.tie = tie;
-                    *meta = finish;
-                    prev.set(finish);
-                },
-                |ext| {
-                    ext.weight = weight;
-                    ext.last_finish = tail_finish;
-                },
-            );
-        }
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    /// Drop a flow and all of its queued packets immediately, without
-    /// the idle-only guard of [`Scheduler::remove_flow`]. Returns the
-    /// number of packets discarded. The flow's heap entry (if any) is
-    /// left behind as stale and skipped by the next `dequeue` that
-    /// reaches it; `len`/`backlog` accounting stays exact.
-    pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        match self.q.force_remove_flow(flow) {
-            Some(dropped) => {
-                if let Some(t) = &self.tele {
-                    t.record_force_removed(dropped);
-                }
-                self.obs
-                    .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
-                dropped
-            }
-            None => 0,
-        }
+        TagSched::from_parts("SFQ", Exact, tie, obs, backend)
     }
 }
 
 impl Default for Sfq {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<O: SchedObserver> Scheduler for Sfq<O> {
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        assert!(weight.as_bps() > 0, "SFQ: flow weight must be positive");
-        self.q
-            .upsert_flow(flow, || FlowExt {
-                weight,
-                last_finish: Ratio::ZERO,
-            })
-            .weight = weight;
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-        self.try_enqueue(now, pkt)
-            .unwrap_or_else(|e| panic!("SFQ: {e}"));
-    }
-
-    fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        let weight = self
-            .q
-            .ext(pkt.flow)
-            .ok_or(SchedError::UnknownFlow(pkt.flow))?
-            .weight;
-        self.try_enqueue_with_rate(now, pkt, weight)
-    }
-
-    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) {
-        self.try_enqueue_batch(now, pkts)
-            .unwrap_or_else(|e| panic!("SFQ: {e}"));
-    }
-
-    fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        // v(t) changes only at dequeues, so across a pure-enqueue run
-        // both the eager-rebase predicate and the snapped virtual time
-        // are constants: one check and one snap serve the whole batch.
-        // (If the check fires here, the per-packet loop's first check
-        // would have fired identically and its later ones would see the
-        // shrunk v and stay quiet — bit-identical either way.)
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        let v_now = self.virtual_time().snap_pico();
-        let tie_rule = self.tie;
-        for &pkt in pkts {
-            let uid = pkt.uid;
-            let (key, finish) = self.q.try_push_with(pkt, |ext| {
-                let start = v_now.max(ext.last_finish);
-                let finish = start.checked_add(ext.weight.tag_span(pkt.len))?;
-                let key = Key {
-                    start,
-                    tie: tie_rule.key(ext.weight),
-                    uid,
-                };
-                ext.last_finish = finish;
-                Some((key, finish))
-            })?;
-            if let Some(t) = &self.tele {
-                t.record_enqueue(pkt.len.as_u64(), self.q.len());
-            }
-            self.obs.on_enqueue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid,
-                len: pkt.len,
-                start_tag: key.start,
-                finish_tag: finish,
-                v: v_now,
-            });
-        }
-        Ok(())
-    }
-
-    fn dequeue_batch(&mut self, now: SimTime, max: usize, out: &mut Vec<Packet>) -> usize {
-        let Sfq {
-            q,
-            v,
-            max_finish_served,
-            obs,
-            tele,
-            ..
-        } = self;
-        let n = q.pop_min_batch(max, |pkt, key, finish| {
-            *v = key.start;
-            *max_finish_served = (*max_finish_served).max(finish);
-            if let Some(t) = tele {
-                t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-            }
-            obs.on_dequeue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: key.start,
-                finish_tag: finish,
-                v: key.start,
-            });
-            out.push(pkt);
-        });
-        if n == 0 {
-            return 0;
-        }
-        // Each packet's departure was reported before the next was
-        // selected, so only the final state matters: no packet in
-        // service, and — if the batch drained the queue — the busy
-        // period ended exactly as the last per-packet on_departure
-        // would have ended it.
-        self.in_service = None;
-        if self.q.is_empty() {
-            self.v = self.max_finish_served;
-            if self.rebase_bits.is_some() {
-                self.rebase();
-            }
-        }
-        self.gc_step();
-        n
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let (pkt, key, finish) = self.q.pop_min()?;
-        // v(t) during service is the start tag of the packet in service.
-        self.in_service = Some(key.start);
-        self.v = key.start;
-        self.max_finish_served = self.max_finish_served.max(finish);
-        if let Some(t) = &self.tele {
-            t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-        }
-        self.obs.on_dequeue(&SchedEvent {
-            time: now,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: key.start,
-            finish_tag: finish,
-            v: key.start,
-        });
-        Some(pkt)
-    }
-
-    fn on_departure(&mut self, _now: SimTime) {
-        self.in_service = None;
-        if self.q.is_empty() {
-            // End of busy period: v := max finish tag serviced (step 2
-            // of the algorithm definition).
-            self.v = self.max_finish_served;
-            if self.rebase_bits.is_some() {
-                // Busy-period boundary: the cheapest rebase point (no
-                // queued packets, only per-flow last_finish state).
-                self.rebase();
-            }
-        }
-        self.gc_step();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn backlog(&self, flow: FlowId) -> usize {
-        self.q.backlog(flow)
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) -> bool {
-        let removed = self.q.remove_flow(flow);
-        if removed {
-            self.obs.on_flow_change(flow, &FlowChange::Removed);
-        }
-        removed
-    }
-
-    fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        Sfq::force_remove_flow(self, flow)
-    }
-
-    fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        Sfq::try_set_weight(self, flow, weight)
-    }
-
-    fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let (pkt, key, finish) = self.q.drop_front(flow)?;
-        if let Some(t) = &self.tele {
-            t.record_head_drop();
-        }
-        self.obs.on_drop(&SchedEvent {
-            time: pkt.arrival,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            len: pkt.len,
-            start_tag: key.start,
-            finish_tag: finish,
-            v: self.virtual_time(),
-        });
-        Some(pkt)
-    }
-
-    fn name(&self) -> &'static str {
-        "SFQ"
     }
 }
 

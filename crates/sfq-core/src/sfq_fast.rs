@@ -1,11 +1,9 @@
 //! Fixed-point fast-path SFQ (see [`crate::fixed`] for the arithmetic).
 //!
-//! `SfqFast` runs the exact same algorithm as [`Sfq`](crate::Sfq) — the
-//! Eq. 4/5 tag recurrence over the shared head-of-flow
-//! [`FlowFifos`](crate::flowq::FlowFifos) structure, identical
-//! tie-breaking, identical busy-period bookkeeping, identical batch-API
-//! semantics — but keeps every tag as a [`FixedTag`] (u64 fixed point)
-//! and every per-flow inverse rate as a precomputed [`FixedInc`], so
+//! `SfqFast` is the fixed-point, start-tag instantiation of the shared
+//! tag-scheduler core ([`crate::tagsched`]): literally `Sfq`'s algorithm,
+//! but every tag is a u64 [`FixedTag`](crate::FixedTag) and every
+//! per-flow inverse rate a precomputed [`FixedInc`](crate::FixedInc), so
 //! the per-packet tag update is one widening multiply, one shift, one
 //! max and one add instead of rational gcd arithmetic.
 //!
@@ -20,99 +18,46 @@
 //!   packet (module docs of [`crate::fixed`]), so a flow's tag error
 //!   after `N` dequeues is `< 1.5·N·2^-shift` virtual-time units and
 //!   the observed fairness watermark inflates by at most that bound —
-//!   see docs/fixed_point.md for the derivation and when to prefer the
+//!   see docs/fixed_point.md for the derivation, the wraparound rule
+//!   (rebasing, threshold clamped to
+//!   [`MAX_REBASE_BITS`](crate::MAX_REBASE_BITS)), and when to prefer the
 //!   exact scheduler.
-//!
-//! # Wraparound
-//!
-//! Tags are compared as plain `u64`s; the [`SfqFast::enable_rebasing`]
-//! hook (same spelling as the exact scheduler's) periodically subtracts
-//! the whole-unit part of `v(t)` from every live tag, keeping raw
-//! values far below wraparound. The threshold is clamped to
-//! [`MAX_REBASE_BITS`] because callers tuned for the i128 schedulers
-//! pass thresholds (e.g. 96) that a u64 could never reach.
 
-use crate::fixed::{FixedInc, FixedTag, DEFAULT_SHIFT, MAX_REBASE_BITS, MAX_SHIFT};
-use crate::flowq::{FifoBackend, FlowFifos};
-use crate::obs::{FlowChange, NoopObserver, SchedEvent, SchedObserver};
-use crate::packet::{FlowId, Packet};
-use crate::pool::PoolStats;
-use crate::sched::{SchedError, Scheduler, TieBreak};
-use crate::sfq::GC_BUDGET;
-use sfq_telemetry::TelemetrySink;
+use crate::flowq::FifoBackend;
+use crate::obs::{NoopObserver, SchedObserver};
+use crate::sched::{SchedError, TieBreak};
+use crate::tagsched::{Fixed, StartVt, TagSched};
+
+#[cfg(test)]
+use crate::{
+    fixed::{DEFAULT_SHIFT, MAX_REBASE_BITS, MAX_SHIFT},
+    packet::{FlowId, Packet},
+    sched::Scheduler,
+};
+#[cfg(test)]
 use simtime::{Rate, Ratio, SimTime};
-use std::cell::Cell;
-
-/// Heap ordering key: primary start tag, then the (narrowed) tie-break
-/// key, then packet uid for full determinism. 24 bytes against the
-/// exact scheduler's 56 — half the heap traffic per comparison.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct FastKey {
-    start: FixedTag,
-    tie: i64,
-    uid: u64,
-}
-
-#[derive(Debug)]
-struct FastExt {
-    weight: Rate,
-    /// Precomputed inverse-rate increment for the registered weight.
-    inc: FixedInc,
-    /// Precomputed tie-break key for the registered weight (the exact
-    /// scheduler recomputes it per enqueue; precomputing is equivalent
-    /// because both refresh on re-registration).
-    tie: i64,
-    /// `F(p_f^{j-1})`: finish tag of the flow's previous packet.
-    last_finish: FixedTag,
-}
 
 /// Fixed-point Start-time Fair Queuing: same algorithm and observable
 /// contract as [`Sfq`](crate::Sfq), u64 tag arithmetic (see module
 /// docs and [`crate::fixed`]).
-#[derive(Debug)]
-pub struct SfqFast<O: SchedObserver = NoopObserver> {
-    q: FlowFifos<FastKey, FastExt, FixedTag>,
-    tie: TieBreak,
-    /// Fractional bits of the tag grid (1..=[`MAX_SHIFT`]).
-    shift: u32,
-    /// Current virtual time `v(t)` outside of service; while a packet is
-    /// in service `in_service` overrides this.
-    v: FixedTag,
-    /// Start tag of the packet currently in service, if any.
-    in_service: Option<FixedTag>,
-    /// Maximum finish tag assigned to any packet serviced so far.
-    max_finish_served: FixedTag,
-    /// Virtual-time rebasing threshold in magnitude bits (clamped to
-    /// [`MAX_REBASE_BITS`] when tested), or `None` when rebasing is
-    /// disabled.
-    rebase_bits: Option<u32>,
-    /// Number of rebases applied so far.
-    rebases: u64,
-    /// Lazy flow GC armed (see [`SfqFast::enable_flow_gc`]).
-    gc: bool,
-    obs: O,
-    /// Counter-page sink (see [`SfqFast::attach_telemetry`]); unlike
-    /// the observer there is no tag conversion on this path — the sink
-    /// writes plain relaxed counters only.
-    tele: Option<TelemetrySink>,
-}
+pub type SfqFast<O = NoopObserver> = TagSched<Fixed, StartVt, O>;
 
 impl SfqFast {
-    /// New fixed-point SFQ with FIFO tie-breaking at [`DEFAULT_SHIFT`].
+    /// New fixed-point SFQ with FIFO tie-breaking at [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn new() -> Self {
         Self::with_tiebreak(TieBreak::Fifo)
     }
 
     /// New fixed-point SFQ with an explicit tie-break rule at
-    /// [`DEFAULT_SHIFT`].
+    /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_tiebreak(tie: TieBreak) -> Self {
         Self::with_observer(tie, NoopObserver)
     }
 
     /// New fixed-point SFQ on a custom `2^shift` tag grid.
     ///
-    /// Rejects `shift == 0` and `shift >` [`MAX_SHIFT`] with
-    /// [`SchedError::TagOverflow`] — the u64 overflow-freedom proof
+    /// Rejects `shift == 0` and `shift >` [`MAX_SHIFT`](crate::MAX_SHIFT)
+    /// with [`SchedError::TagOverflow`] — the u64 overflow-freedom proof
     /// only covers that range. Small shifts are for experiments: the
     /// pinned adversarial witness in the test suite uses `shift = 4`
     /// to demonstrate the quantization bound has teeth.
@@ -123,13 +68,9 @@ impl SfqFast {
 
 impl<O: SchedObserver> SfqFast<O> {
     /// New fixed-point SFQ reporting events to `obs` at
-    /// [`DEFAULT_SHIFT`].
+    /// [`DEFAULT_SHIFT`](crate::DEFAULT_SHIFT).
     pub fn with_observer(tie: TieBreak, obs: O) -> Self {
-        match Self::with_shift_observer(tie, DEFAULT_SHIFT, obs) {
-            Ok(s) => s,
-            // DEFAULT_SHIFT is within 1..=MAX_SHIFT by construction.
-            Err(_) => unreachable!("DEFAULT_SHIFT is always valid"),
-        }
+        TagSched::from_parts("SFQ-FAST", Fixed::DEFAULT, tie, obs, FifoBackend::default())
     }
 
     /// New fixed-point SFQ with custom shift and observer; see
@@ -147,531 +88,19 @@ impl<O: SchedObserver> SfqFast<O> {
         obs: O,
         backend: FifoBackend,
     ) -> Result<Self, SchedError> {
-        if shift == 0 || shift > MAX_SHIFT {
-            return Err(SchedError::TagOverflow);
-        }
-        Ok(SfqFast {
-            q: FlowFifos::new_with("SFQ-FAST", backend),
+        Ok(TagSched::from_parts(
+            "SFQ-FAST",
+            Fixed::new(shift)?,
             tie,
-            shift,
-            v: FixedTag::ZERO,
-            in_service: None,
-            max_finish_served: FixedTag::ZERO,
-            rebase_bits: None,
-            rebases: 0,
-            gc: false,
             obs,
-            tele: None,
-        })
-    }
-
-    /// Attach a plain-write counter-page sink (see
-    /// `Sfq::attach_telemetry` and `docs/telemetry.md`).
-    pub fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        self.tele = Some(sink);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.tele.as_ref()
-    }
-
-    /// Enable lazy flow GC (pooled backend only): a drained flow is
-    /// reclaimed once its `last_finish ≤ v(t)` — the fixed-point
-    /// mirror of `Sfq::enable_flow_gc` (no floor needed: fixed tags
-    /// are not re-snapped at enqueue, and `v(t)` is non-decreasing,
-    /// so the condition is already revival-stable). Dequeue order
-    /// stays bit-identical; the flow table stays bounded by the live
-    /// flow set under churn.
-    pub fn enable_flow_gc(&mut self) {
-        self.gc = true;
-        self.q.enable_gc();
-    }
-
-    /// Cap the pooled backend's packet-slot footprint; exhaustion
-    /// surfaces as [`SchedError::BufferFull`] from `try_enqueue`.
-    pub fn set_pool_limit(&mut self, limit: Option<usize>) {
-        self.q.set_pool_limit(limit);
-    }
-
-    /// Pool accounting (`None` on the owned backend).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.q.pool_stats()
-    }
-
-    /// Currently registered flows.
-    pub fn live_flows(&self) -> usize {
-        self.q.live_flows()
-    }
-
-    fn gc_step(&mut self) {
-        if !self.gc {
-            return;
-        }
-        let horizon = self.virtual_time_fixed();
-        self.q.gc_step(GC_BUDGET, |ext| ext.last_finish <= horizon);
-    }
-
-    /// Enable virtual-time rebasing, same contract as the exact
-    /// scheduler's `Sfq::enable_rebasing`: at every busy-period
-    /// boundary, and eagerly whenever the virtual time's magnitude
-    /// exceeds the threshold, the whole-unit part of `v(t)` is
-    /// subtracted from every live tag. Thresholds above
-    /// [`MAX_REBASE_BITS`] are clamped — a u64 tag can never reach the
-    /// 96-bit thresholds tuned for the i128 schedulers, and waiting for
-    /// one would mean wrapping first.
-    pub fn enable_rebasing(&mut self, threshold_bits: u32) {
-        self.rebase_bits = Some(threshold_bits);
-    }
-
-    /// Number of rebases applied so far.
-    pub fn rebases(&self) -> u64 {
-        self.rebases
-    }
-
-    /// The tag grid's fractional bit count.
-    pub fn shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
-    /// The attached observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
-    }
-
-    /// Consume the scheduler, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.obs
-    }
-
-    /// The server virtual time `v(t)` right now, in fixed point.
-    pub fn virtual_time_fixed(&self) -> FixedTag {
-        self.in_service.unwrap_or(self.v)
-    }
-
-    /// The server virtual time `v(t)` as an exact rational (diagnostic
-    /// parity with `Sfq::virtual_time`).
-    pub fn virtual_time(&self) -> Ratio {
-        self.virtual_time_fixed().to_ratio(self.shift)
-    }
-
-    /// Start/finish tags assigned to a still-queued packet, as exact
-    /// rationals. Diagnostic accessor; scans the per-flow FIFOs.
-    pub fn tags_of(&self, uid: u64) -> Option<(Ratio, Ratio)> {
-        self.q
-            .find(uid)
-            .map(|(key, finish)| (key.start.to_ratio(self.shift), finish.to_ratio(self.shift)))
-    }
-
-    /// The finish tag `F(p_f^{j-1})` state of a flow (0 before its
-    /// first packet), as an exact rational.
-    pub fn flow_last_finish(&self, flow: FlowId) -> Option<Ratio> {
-        self.q.ext(flow).map(|e| e.last_finish.to_ratio(self.shift))
-    }
-
-    /// Number of entries currently in the head-of-flow heap.
-    pub fn head_heap_len(&self) -> usize {
-        self.q.head_heap_len()
-    }
-
-    /// Rebase immediately: subtract the whole-unit part of the current
-    /// `v(t)` from every live start/finish tag, every flow's
-    /// `last_finish`, and the virtual-time state — the fixed-point
-    /// mirror of `Sfq::rebase` (same integer baseline, so dequeue order
-    /// is untouched). Subtraction saturates instead of dry-checking:
-    /// every tag live in the current busy period is `≥ base` so the
-    /// clamp never fires on them, and an idle flow's stale
-    /// `last_finish < base` clamps to zero, which preserves the
-    /// `max(v, last_finish)` start-tag rule because the rebased `v` is
-    /// itself `≥` the rebased stale finish either way. Returns the
-    /// baseline subtracted (zero when `v(t) < 1` unit).
-    pub fn rebase(&mut self) -> FixedTag {
-        let base = self.virtual_time_fixed().floor_to_base(self.shift);
-        if base.raw() == 0 {
-            return FixedTag::ZERO;
-        }
-        self.v = self.v.saturating_sub(base);
-        self.max_finish_served = self.max_finish_served.saturating_sub(base);
-        self.in_service = self.in_service.map(|s| s.saturating_sub(base));
-        self.q.retag_all(
-            |key, finish| {
-                key.start = key.start.saturating_sub(base);
-                *finish = finish.saturating_sub(base);
-            },
-            |ext| ext.last_finish = ext.last_finish.saturating_sub(base),
-        );
-        self.rebases += 1;
-        base
-    }
-
-    fn maybe_rebase_eager(&mut self) {
-        let Some(bits) = self.rebase_bits else {
-            return;
-        };
-        if self.virtual_time_fixed().magnitude_bits() > bits.min(MAX_REBASE_BITS) {
-            self.rebase();
-        }
-    }
-
-    /// Live weight reconfiguration under the tag-rewrite rule, the
-    /// fixed-point mirror of `Sfq::try_set_weight` (see
-    /// `docs/robustness.md`): the backlogged head keeps its tags,
-    /// every later queued packet is re-chained at the new rate's
-    /// [`FixedInc`] span, tie keys are rebuilt, and `last_finish`
-    /// becomes the rewritten tail finish. Idle flows only have their
-    /// registered weight/increment/tie refreshed. All-or-nothing: the
-    /// increment construction and a dry chain pass are verified before
-    /// any state is mutated.
-    pub fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        if weight.as_bps() == 0 {
-            return Err(SchedError::ZeroWeight(flow));
-        }
-        if self.q.ext(flow).is_none() {
-            return Err(SchedError::UnknownFlow(flow));
-        }
-        let inc = FixedInc::new(flow, weight, self.shift)?;
-        let tie = self.tie.key64(weight);
-        if self.q.backlog(flow) == 0 {
-            self.q.retag_flow(
-                flow,
-                |_, _, _, _| {},
-                |ext| {
-                    ext.weight = weight;
-                    ext.inc = inc;
-                    ext.tie = tie;
-                },
-            );
-        } else {
-            // Dry pass: chain the new tags from the (unchanged) head
-            // finish, verifying every span and add fits.
-            let ok = Cell::new(true);
-            let prev = Cell::new(FixedTag::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, _key, meta| {
-                    if pos == 0 {
-                        prev.set(*meta);
-                    } else {
-                        match inc
-                            .span(pkt.len)
-                            .ok()
-                            .and_then(|s| prev.get().checked_add(s))
-                        {
-                            Some(f) => prev.set(f),
-                            None => ok.set(false),
-                        }
-                    }
-                },
-                |_| {},
-            );
-            if !ok.get() {
-                return Err(SchedError::TagOverflow);
-            }
-            let tail_finish = prev.get();
-            // Apply pass: verified above, so the fallbacks never fire.
-            let prev = Cell::new(FixedTag::ZERO);
-            self.q.retag_flow(
-                flow,
-                |pos, pkt, key, meta| {
-                    if pos == 0 {
-                        prev.set(*meta);
-                        return;
-                    }
-                    let start = prev.get();
-                    let finish = inc
-                        .span(pkt.len)
-                        .ok()
-                        .and_then(|s| start.checked_add(s))
-                        .unwrap_or(start);
-                    key.start = start;
-                    key.tie = tie;
-                    *meta = finish;
-                    prev.set(finish);
-                },
-                |ext| {
-                    ext.weight = weight;
-                    ext.inc = inc;
-                    ext.tie = tie;
-                    ext.last_finish = tail_finish;
-                },
-            );
-        }
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    /// Drop a flow and all of its queued packets immediately; see
-    /// `Sfq::force_remove_flow` for the contract.
-    pub fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        match self.q.force_remove_flow(flow) {
-            Some(dropped) => {
-                if let Some(t) = &self.tele {
-                    t.record_force_removed(dropped);
-                }
-                self.obs
-                    .on_flow_change(flow, &FlowChange::ForceRemoved { dropped });
-                dropped
-            }
-            None => 0,
-        }
+            backend,
+        ))
     }
 }
 
 impl Default for SfqFast {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<O: SchedObserver> Scheduler for SfqFast<O> {
-    fn add_flow(&mut self, flow: FlowId, weight: Rate) {
-        self.try_add_flow(flow, weight)
-            .unwrap_or_else(|e| panic!("SFQ-FAST: {e}"));
-    }
-
-    fn try_add_flow(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        let inc = FixedInc::new(flow, weight, self.shift)?;
-        let tie = self.tie.key64(weight);
-        let ext = self.q.upsert_flow(flow, || FastExt {
-            weight,
-            inc,
-            tie,
-            last_finish: FixedTag::ZERO,
-        });
-        ext.weight = weight;
-        ext.inc = inc;
-        ext.tie = tie;
-        self.obs.on_flow_change(flow, &FlowChange::Added { weight });
-        Ok(())
-    }
-
-    fn enqueue(&mut self, now: SimTime, pkt: Packet) {
-        self.try_enqueue(now, pkt)
-            .unwrap_or_else(|e| panic!("SFQ-FAST: {e}"));
-    }
-
-    fn try_enqueue(&mut self, now: SimTime, pkt: Packet) -> Result<(), SchedError> {
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        // No pico-grid snap here: fixed tags already live on the
-        // 2^-shift grid (denominator ≤ 2^24 < 10^12), so the snap the
-        // exact scheduler applies at this read point is a no-op by
-        // construction.
-        let v_now = self.virtual_time_fixed();
-        let uid = pkt.uid;
-        let (key, finish) = self.q.try_push_with(pkt, |ext| {
-            let span = ext.inc.span(pkt.len).ok()?;
-            let start = v_now.max(ext.last_finish);
-            let finish = start.checked_add(span)?;
-            ext.last_finish = finish;
-            Some((
-                FastKey {
-                    start,
-                    tie: ext.tie,
-                    uid,
-                },
-                finish,
-            ))
-        })?;
-        if let Some(t) = &self.tele {
-            t.record_enqueue(pkt.len.as_u64(), self.q.len());
-        }
-        if self.obs.active() {
-            self.obs.on_enqueue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid,
-                len: pkt.len,
-                start_tag: key.start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: v_now.to_ratio(self.shift),
-            });
-        }
-        Ok(())
-    }
-
-    fn enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) {
-        self.try_enqueue_batch(now, pkts)
-            .unwrap_or_else(|e| panic!("SFQ-FAST: {e}"));
-    }
-
-    fn try_enqueue_batch(&mut self, now: SimTime, pkts: &[Packet]) -> Result<(), SchedError> {
-        // Same hoisting argument as the exact scheduler: v(t) changes
-        // only at dequeues, so one rebase check and one v read serve
-        // the whole pure-enqueue run, bit-identically to the
-        // per-packet loop.
-        if self.rebase_bits.is_some() {
-            self.maybe_rebase_eager();
-        }
-        let v_now = self.virtual_time_fixed();
-        for &pkt in pkts {
-            let uid = pkt.uid;
-            let (key, finish) = self.q.try_push_with(pkt, |ext| {
-                let span = ext.inc.span(pkt.len).ok()?;
-                let start = v_now.max(ext.last_finish);
-                let finish = start.checked_add(span)?;
-                ext.last_finish = finish;
-                Some((
-                    FastKey {
-                        start,
-                        tie: ext.tie,
-                        uid,
-                    },
-                    finish,
-                ))
-            })?;
-            if let Some(t) = &self.tele {
-                t.record_enqueue(pkt.len.as_u64(), self.q.len());
-            }
-            if self.obs.active() {
-                self.obs.on_enqueue(&SchedEvent {
-                    time: now,
-                    flow: pkt.flow,
-                    uid,
-                    len: pkt.len,
-                    start_tag: key.start.to_ratio(self.shift),
-                    finish_tag: finish.to_ratio(self.shift),
-                    v: v_now.to_ratio(self.shift),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn dequeue_batch(&mut self, now: SimTime, max: usize, out: &mut Vec<Packet>) -> usize {
-        let shift = self.shift;
-        let SfqFast {
-            q,
-            v,
-            max_finish_served,
-            obs,
-            tele,
-            ..
-        } = self;
-        let n = q.pop_min_batch(max, |pkt, key, finish| {
-            *v = key.start;
-            *max_finish_served = (*max_finish_served).max(finish);
-            if let Some(t) = tele {
-                t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-            }
-            if obs.active() {
-                obs.on_dequeue(&SchedEvent {
-                    time: now,
-                    flow: pkt.flow,
-                    uid: pkt.uid,
-                    len: pkt.len,
-                    start_tag: key.start.to_ratio(shift),
-                    finish_tag: finish.to_ratio(shift),
-                    v: key.start.to_ratio(shift),
-                });
-            }
-            out.push(pkt);
-        });
-        if n == 0 {
-            return 0;
-        }
-        // Same final-state argument as the exact scheduler: only the
-        // last packet's bookkeeping survives the batch.
-        self.in_service = None;
-        if self.q.is_empty() {
-            self.v = self.max_finish_served;
-            if self.rebase_bits.is_some() {
-                self.rebase();
-            }
-        }
-        self.gc_step();
-        n
-    }
-
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let (pkt, key, finish) = self.q.pop_min()?;
-        self.in_service = Some(key.start);
-        self.v = key.start;
-        self.max_finish_served = self.max_finish_served.max(finish);
-        if let Some(t) = &self.tele {
-            t.record_dequeue(pkt.flow.0, pkt.len.as_u64(), pkt.arrival, now);
-        }
-        if self.obs.active() {
-            self.obs.on_dequeue(&SchedEvent {
-                time: now,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: key.start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: key.start.to_ratio(self.shift),
-            });
-        }
-        Some(pkt)
-    }
-
-    fn on_departure(&mut self, _now: SimTime) {
-        self.in_service = None;
-        if self.q.is_empty() {
-            // End of busy period: v := max finish tag serviced.
-            self.v = self.max_finish_served;
-            if self.rebase_bits.is_some() {
-                self.rebase();
-            }
-        }
-        self.gc_step();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn backlog(&self, flow: FlowId) -> usize {
-        self.q.backlog(flow)
-    }
-
-    fn remove_flow(&mut self, flow: FlowId) -> bool {
-        let removed = self.q.remove_flow(flow);
-        if removed {
-            self.obs.on_flow_change(flow, &FlowChange::Removed);
-        }
-        removed
-    }
-
-    fn force_remove_flow(&mut self, flow: FlowId) -> usize {
-        SfqFast::force_remove_flow(self, flow)
-    }
-
-    fn try_set_weight(&mut self, flow: FlowId, weight: Rate) -> Result<(), SchedError> {
-        SfqFast::try_set_weight(self, flow, weight)
-    }
-
-    fn drop_head(&mut self, flow: FlowId) -> Option<Packet> {
-        let (pkt, key, finish) = self.q.drop_front(flow)?;
-        if let Some(t) = &self.tele {
-            t.record_head_drop();
-        }
-        if self.obs.active() {
-            self.obs.on_drop(&SchedEvent {
-                time: pkt.arrival,
-                flow: pkt.flow,
-                uid: pkt.uid,
-                len: pkt.len,
-                start_tag: key.start.to_ratio(self.shift),
-                finish_tag: finish.to_ratio(self.shift),
-                v: self.virtual_time(),
-            });
-        }
-        Some(pkt)
-    }
-
-    fn name(&self) -> &'static str {
-        "SFQ-FAST"
     }
 }
 

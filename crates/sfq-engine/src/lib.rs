@@ -43,17 +43,19 @@ pub use sync::SyncEngine;
 pub use threaded::{RecoveryStats, ThreadedEngine};
 
 use sfq_core::obs::SchedObserver;
-use sfq_core::{FlowId, ScfqFast, Scheduler, Sfq, SfqFast, TelemetrySink};
+use sfq_core::{FlowId, Scheduler, TagArith, TagSched, TelemetrySink, VtRule};
 
 /// A scheduling discipline that can serve as an engine shard: the full
 /// [`sfq_core::Scheduler`] contract plus opt-in virtual-time rebasing,
 /// which both drivers wire to [`EngineConfig::rebase_bits`] at
 /// construction time.
 ///
-/// The root arbiter stays exact-rational regardless of the shard type —
-/// it charges batch-sized "packets" at a far lower rate than the leaf
-/// schedulers stamp tags, so it is never the bottleneck the fixed-point
-/// fast path exists to remove.
+/// Every tag scheduler (`Sfq`, `SfqFast`, `Scfq`, `ScfqFast` — the
+/// instantiations of [`sfq_core::TagSched`]) is a shard through one
+/// impl. The root arbiter stays exact-rational regardless of the shard
+/// type — it charges batch-sized "packets" at a far lower rate than the
+/// leaf schedulers stamp tags, so it is never the bottleneck the
+/// fixed-point fast path exists to remove.
 pub trait ShardSched: Scheduler {
     /// Enable periodic virtual-time rebasing once tag magnitudes exceed
     /// `threshold_bits`. Fixed-point shards clamp the threshold to
@@ -69,33 +71,13 @@ pub trait ShardSched: Scheduler {
     fn attach_telemetry(&mut self, sink: TelemetrySink);
 }
 
-impl<O: SchedObserver> ShardSched for Sfq<O> {
+impl<A: TagArith, D: VtRule<A>, O: SchedObserver> ShardSched for TagSched<A, D, O> {
     fn enable_rebasing(&mut self, threshold_bits: u32) {
-        Sfq::enable_rebasing(self, threshold_bits);
+        TagSched::enable_rebasing(self, threshold_bits);
     }
 
     fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        Sfq::attach_telemetry(self, sink);
-    }
-}
-
-impl<O: SchedObserver> ShardSched for SfqFast<O> {
-    fn enable_rebasing(&mut self, threshold_bits: u32) {
-        SfqFast::enable_rebasing(self, threshold_bits);
-    }
-
-    fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        SfqFast::attach_telemetry(self, sink);
-    }
-}
-
-impl<O: SchedObserver> ShardSched for ScfqFast<O> {
-    fn enable_rebasing(&mut self, threshold_bits: u32) {
-        ScfqFast::enable_rebasing(self, threshold_bits);
-    }
-
-    fn attach_telemetry(&mut self, sink: TelemetrySink) {
-        ScfqFast::attach_telemetry(self, sink);
+        TagSched::attach_telemetry(self, sink);
     }
 }
 

@@ -18,6 +18,7 @@
 //!    scheduler survives the identical input.
 
 use proptest::prelude::*;
+use sfq_core::{TagArith, TagSched, VtRule};
 use sfq_repro::prelude::*;
 
 /// Drive `sched` exactly like the single-server harness does for one
@@ -255,4 +256,140 @@ fn overflow_witness_unrebased_fails_rebased_survives() {
     // Rebasing keeps the live tag state tiny: the whole 2.4e10 virtual
     // span collapsed to the sub-unit fractional residue.
     assert!(rebased.virtual_time() < Ratio::ONE);
+}
+
+/// Forced rebasing against an un-rebased twin, for any tag scheduler:
+/// same dequeue uid sequence, and the prologue's busy period (one
+/// 250-byte packet at 1000 b/s, two virtual-time units) guarantees the
+/// rebased twin really rebases.
+fn forced_rebase_keeps_order<A: TagArith, D: VtRule<A>>(
+    mk: impl Fn() -> TagSched<A, D>,
+    ops: &[(u8, u32, u64)],
+) -> Result<(), TestCaseError> {
+    let mut plain = mk();
+    let mut rebased = mk();
+    rebased.enable_rebasing(0);
+    for f in 0..3u32 {
+        let w = Rate::bps(1_000 + 613 * f as u64);
+        plain.add_flow(FlowId(f + 1), w);
+        rebased.add_flow(FlowId(f + 1), w);
+    }
+    let mut pf_a = PacketFactory::new();
+    let mut pf_b = PacketFactory::new();
+    let t0 = SimTime::ZERO;
+    let (mut busy_a, mut busy_b) = (false, false);
+    for (s, pf, busy) in [
+        (&mut plain, &mut pf_a, &mut busy_a),
+        (&mut rebased, &mut pf_b, &mut busy_b),
+    ] {
+        s.enqueue(t0, pf.make(FlowId(1), Bytes::new(250), t0));
+        let _ = serve_step(s, busy);
+        s.on_departure(t0);
+        *busy = false;
+    }
+    for &(kind, f, len) in ops {
+        match kind {
+            0..=2 => {
+                let flow = FlowId(f + 1);
+                plain.enqueue(t0, pf_a.make(flow, Bytes::new(len), t0));
+                rebased.enqueue(t0, pf_b.make(flow, Bytes::new(len), t0));
+            }
+            _ => {
+                let a = serve_step(&mut plain, &mut busy_a);
+                let b = serve_step(&mut rebased, &mut busy_b);
+                prop_assert_eq!(
+                    a,
+                    b,
+                    "{} dequeue order diverged under rebasing",
+                    plain.name()
+                );
+            }
+        }
+    }
+    let tail_a = drain(&mut plain, &mut busy_a);
+    let tail_b = drain(&mut rebased, &mut busy_b);
+    prop_assert_eq!(
+        tail_a,
+        tail_b,
+        "{} drain order diverged under rebasing",
+        plain.name()
+    );
+    prop_assert!(rebased.rebases() > 0, "forced rebasing never fired");
+    prop_assert_eq!(plain.rebases(), 0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fixed-point schedulers rebase with a saturating subtraction
+    /// instead of the exact all-or-nothing pass — and, as engine shards,
+    /// at every busy-period end — so forced rebasing must not reorder
+    /// their dequeues either.
+    #[test]
+    fn fixed_point_forced_rebase_preserves_order(
+        ops in prop::collection::vec((0u8..5, 0u32..3, 64u64..1500), 1..120),
+    ) {
+        forced_rebase_keeps_order(SfqFast::new, &ops)?;
+        forced_rebase_keeps_order(ScfqFast::new, &ops)?;
+    }
+}
+
+/// `Scheduler::try_enqueue`'s contract: a refused enqueue leaves the
+/// scheduler untouched — including when the eager rebase check would
+/// fire for that arrival. Each scheduler runs to `v(t) = 8` with its
+/// queue still backlogged, turns on forced rebasing, and is then
+/// offered a packet of an unregistered flow through every enqueue
+/// entry point: the virtual time and rebase count must not move.
+#[test]
+fn refused_enqueue_does_not_rebase() {
+    macro_rules! check {
+        ($sched:expr) => {{
+            let mut s = $sched;
+            // 2^10 b/s: a 128-byte packet spans exactly one unit, on
+            // the fixed-point grid too.
+            s.add_flow(FlowId(1), Rate::bps(1 << 10));
+            let mut pf = PacketFactory::new();
+            let t0 = SimTime::ZERO;
+            for _ in 0..12 {
+                s.enqueue(t0, pf.make(FlowId(1), Bytes::new(128), t0));
+            }
+            while s.virtual_time() < Ratio::from_int(8) {
+                s.dequeue(t0).expect("backlogged");
+                s.on_departure(t0);
+            }
+            s.enable_rebasing(0);
+            let (v, len) = (s.virtual_time(), s.len());
+            let stray = pf.make(FlowId(9), Bytes::new(128), t0);
+            assert_eq!(
+                s.try_enqueue(t0, stray),
+                Err(SchedError::UnknownFlow(FlowId(9))),
+                "{}",
+                s.name()
+            );
+            assert_eq!(
+                s.try_enqueue_batch(t0, &[stray]),
+                Err(SchedError::UnknownFlow(FlowId(9))),
+                "{}",
+                s.name()
+            );
+            assert_eq!(s.virtual_time(), v, "{}: refusal moved v(t)", s.name());
+            assert_eq!(s.rebases(), 0, "{}: refusal rebased", s.name());
+            assert_eq!(s.len(), len, "{}", s.name());
+            s
+        }};
+    }
+    let mut sfq = check!(Sfq::new());
+    check!(SfqFast::new());
+    check!(Scfq::new());
+    check!(ScfqFast::new());
+    // Eq. 36's per-packet-rate entry point shares the contract.
+    let stray = PacketFactory::new().make(FlowId(9), Bytes::new(128), SimTime::ZERO);
+    let v = sfq.virtual_time();
+    assert_eq!(
+        sfq.try_enqueue_with_rate(SimTime::ZERO, stray, Rate::bps(1 << 10)),
+        Err(SchedError::UnknownFlow(FlowId(9)))
+    );
+    assert_eq!(sfq.virtual_time(), v);
+    assert_eq!(sfq.rebases(), 0);
 }
